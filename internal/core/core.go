@@ -258,12 +258,9 @@ func (p *problem) UpdateSums(sums []float64, gene, oldAllele, newAllele int) {
 }
 func (p *problem) ScoreSums(sums []float64) float64 { return p.tab.ScoreSums(sums) }
 
-// Batch scoring hooks (ga.BatchScorer / ga.BatchPartialScorer): whole
-// cohorts sweep the SoA table gene-major, bit-identical to the
-// per-candidate paths.
-func (p *problem) ScoreBatch(genes []int, count int, scores []float64) {
-	p.tab.ScoreBatch(genes, count, scores)
-}
+// InitSumsBatch is the ga.BatchPartialScorer hook: whole cohorts
+// sweep the SoA table gene-major, bit-identical to per-candidate
+// InitSums.
 func (p *problem) InitSumsBatch(genes []int, count int, sums []float64) {
 	p.tab.InitSumsBatch(genes, count, sums)
 }

@@ -172,8 +172,8 @@ func (t *Table) Predict(ind []int) Prediction {
 // once. The tile's accumulator block (batchTile×Quad float64, 2 KB)
 // lives on the stack and stays L1-resident across the whole
 // gene-major sweep, so each table row loaded from memory is reused
-// batchTile times instead of once — the entire point of the batch
-// entry points below.
+// batchTile times instead of once — the entire point of
+// InitSumsBatch.
 const batchTile = 64
 
 // InitSumsBatch fills count partial-sum quadruples (candidate c's
@@ -198,27 +198,6 @@ func (t *Table) InitSumsBatch(genes []int, count int, sums []float64) {
 		var acc [batchTile * Quad]float64
 		t.accumTile(genes[base*t.stages:], m, &acc)
 		copy(sums[base*Quad:(base+m)*Quad], acc[:m*Quad])
-	}
-}
-
-// ScoreBatch writes the Eq. 17 fitness of count candidates (stored
-// back to back in genes, as in InitSumsBatch) into scores[:count].
-// Each score is bit-identical to Score of the same vector
-// (ga.BatchScorer contract): the tile accumulation reproduces
-// InitSums exactly and the mapping is the same ScoreSums.
-//
-//lint:hotpath
-func (t *Table) ScoreBatch(genes []int, count int, scores []float64) {
-	for base := 0; base < count; base += batchTile {
-		m := count - base
-		if m > batchTile {
-			m = batchTile
-		}
-		var acc [batchTile * Quad]float64
-		t.accumTile(genes[base*t.stages:], m, &acc)
-		for c := 0; c < m; c++ {
-			scores[base+c] = t.ScoreSums(acc[c*Quad : (c+1)*Quad])
-		}
 	}
 }
 

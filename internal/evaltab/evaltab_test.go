@@ -171,11 +171,12 @@ func TestScoreEq17Branches(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalarBitIdentical pins the ga.BatchScorer /
-// ga.BatchPartialScorer contracts: the gene-major tiled sweep must
-// reproduce the scalar InitSums walk and Score bit for bit, for every
-// candidate, across tile boundaries (the cohort spans two full tiles
-// plus a ragged tail) and at the empty and single-candidate edges.
+// TestBatchMatchesScalarBitIdentical pins the ga.BatchPartialScorer
+// contract: the gene-major tiled sweep must reproduce the scalar
+// InitSums walk bit for bit — and so, through ScoreSums, Score — for
+// every candidate, across tile boundaries (the cohort spans two full
+// tiles plus a ragged tail) and at the empty and single-candidate
+// edges.
 func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const stages, alleles = 17, 6
@@ -193,15 +194,13 @@ func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 		for i := range genes {
 			genes[i] = rng.Intn(alleles)
 		}
-		scores := make([]float64, count)
 		sums := make([]float64, count*Quad)
-		tab.ScoreBatch(genes, count, scores)
 		tab.InitSumsBatch(genes, count, sums)
 		one := make([]float64, Quad)
 		for c := 0; c < count; c++ {
 			ind := genes[c*stages : (c+1)*stages]
-			if got, want := scores[c], tab.Score(ind); got != want {
-				t.Fatalf("count %d candidate %d: ScoreBatch = %g, Score = %g (must be bit-identical)", count, c, got, want)
+			if got, want := tab.ScoreSums(sums[c*Quad:(c+1)*Quad]), tab.Score(ind); got != want {
+				t.Fatalf("count %d candidate %d: ScoreSums(InitSumsBatch) = %g, Score = %g (must be bit-identical)", count, c, got, want)
 			}
 			tab.InitSums(ind, one)
 			for q := 0; q < Quad; q++ {

@@ -241,13 +241,13 @@ func (l *Lab) modelFree(ctx context.Context, budgetSec float64) (*ModelFreeResul
 	if gens < 1 {
 		gens = 1
 	}
-	// NoScoreCache: Score is impure (it burns simulated hardware time);
-	// memoizing repeats would cheat the hardware-time budget the whole
+	// Score is impure (it burns simulated hardware time). The engine
+	// calls it once per evaluation, repeats included, so every
+	// evaluation is charged to the hardware-time budget the whole
 	// comparison is about.
 	hwRes, err := ga.RunContext(ctx, hw, ga.Config{
 		PopSize: pop, Generations: gens, MutationRate: 0.15,
 		CrossoverRate: 0.7, Elitism: 1, Seed: 21, Workers: 1,
-		NoScoreCache: true,
 	})
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func DefaultIslands(popSize int) int {
 }
 
 // Engine is a reusable search instance: one validated (Problem,
-// Config) pair with every island slab, scratch buffer and cache
+// Config) pair with every island slab and scratch buffer
 // preallocated. Run may be called repeatedly — each call re-seeds and
 // reproduces byte-identical results — and allocates nothing in steady
 // state on the incremental path, which is what makes per-request
@@ -62,7 +62,6 @@ func DefaultIslands(popSize int) int {
 type Engine struct {
 	p   Problem
 	ps  PartialScorer
-	bs  BatchScorer
 	bps BatchPartialScorer
 	inc bool
 	cfg Config
@@ -71,10 +70,6 @@ type Engine struct {
 	alleles int
 	sumN    int
 	workers int
-	// fanout: single-island searches over problems without a batch
-	// entry point score cohorts across the worker pool; multi-island
-	// searches parallelize across islands instead.
-	fanout bool
 	// segEvery is the barrier cadence: islands run independently for
 	// segEvery generations, then synchronize for history aggregation,
 	// staleness and migration.
@@ -156,7 +151,7 @@ func New(p Problem, cfg Config) (*Engine, error) {
 		alleles: alleles,
 		workers: workers,
 	}
-	if ps, ok := p.(PartialScorer); ok && !cfg.ExactRescore && ps.SumCount() > 0 {
+	if ps, ok := p.(PartialScorer); ok && ps.SumCount() > 0 {
 		e.ps = ps
 		e.inc = true
 		e.sumN = ps.SumCount()
@@ -164,10 +159,6 @@ func New(p Problem, cfg Config) (*Engine, error) {
 			e.bps = bps
 		}
 	}
-	if bs, ok := p.(BatchScorer); ok {
-		e.bs = bs
-	}
-	e.fanout = nIsl == 1 && workers > 1 && e.bs == nil
 
 	segEvery := cfg.MigrationEvery
 	switch {
@@ -219,8 +210,8 @@ func New(p Problem, cfg Config) (*Engine, error) {
 // result: Best, History, IslandEvaluations and Population alias
 // engine slabs, valid until the next Run call. Callers that need a
 // caller-owned result use Result.Clone (RunContext does). Repeat
-// calls reproduce byte-identical results: the RNG streams re-seed,
-// the caches clear, and the populations re-initialize from scratch.
+// calls reproduce byte-identical results: the RNG streams re-seed
+// and the populations re-initialize from scratch.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	gens := e.cfg.Generations
 	nIsl := len(e.islands)
@@ -250,7 +241,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	for i := range e.islands {
 		isl := &e.islands[i]
 		isl.fillRandom(e)
-		isl.scoreInitial(e)
+		isl.score(e, isl.pop, true)
 		isl.evals += isl.size
 		isl.rank()
 		isl.hist[0] = isl.sc[isl.perm[0]]
@@ -418,19 +409,10 @@ func (e *Engine) assemble() *Result {
 	wisl := &e.islands[win]
 	copy(e.best, wisl.pop[wisl.perm[0]].genes)
 
-	evals, hits, evict := 0, 0, 0
+	evals := 0
 	for i := range e.islands {
-		isl := &e.islands[i]
-		e.islandEvals[i] = isl.evals
-		evals += isl.evals
-		hits += isl.hits
-		if isl.cache != nil {
-			evict += isl.cache.evictions
-		}
-	}
-	cacheCap := 0
-	if e.islands[0].cache != nil {
-		cacheCap = e.islands[0].cache.cap
+		e.islandEvals[i] = e.islands[i].evals
+		evals += e.islands[i].evals
 	}
 	e.res = Result{
 		Best:              e.best,
@@ -438,9 +420,6 @@ func (e *Engine) assemble() *Result {
 		History:           e.history,
 		Evaluations:       evals,
 		Generations:       len(e.history) - 1,
-		CacheHits:         hits,
-		CacheCap:          cacheCap,
-		CacheEvictions:    evict,
 		Islands:           len(e.islands),
 		Migrations:        e.migrations,
 		IslandEvaluations: e.islandEvals,

@@ -5,26 +5,25 @@
 // mutation rewrites a random burst of genes.
 //
 // The engine is an island model: the population is partitioned into N
-// islands (Config.Islands), each with its own RNG stream, score cache
-// and recycled gene/partial-sum slabs, so islands share no mutable
-// state on the hot path and run on the worker pool without locks.
+// islands (Config.Islands), each with its own RNG stream and recycled
+// gene/partial-sum slabs, so islands share no mutable state on the hot
+// path and run on the worker pool without locks.
 // Islands exchange their elite individuals over a fixed ring topology
 // at a fixed generation cadence (Config.MigrationEvery), so the whole
 // trajectory — including every migration — is a pure function of the
 // config and the problem, byte-identical at any worker count (the
 // determinism contract; see DESIGN.md §13).
 //
-// Scoring is batched per cohort: problems implementing BatchScorer
-// (the evaltab-backed evaluators) score a whole slice of candidates in
-// gene-major sweeps over the SoA table instead of per-candidate
-// pointer chases. Problems implementing PartialScorer additionally get
-// incremental (delta) scoring — a child produced by crossover or a
+// Problems implementing PartialScorer (the evaltab-backed evaluators)
+// get incremental (delta) scoring: a child produced by crossover or a
 // mutation burst inherits a parent's partial sums and applies
-// O(changed genes) updates instead of an O(genes) re-walk
-// (Config.ExactRescore restores full re-scoring). Neither engine
-// choice changes the stochastic trajectory: the RNG draw sequence is
-// identical across scoring modes and worker counts, so equal seeds
-// reproduce runs.
+// O(changed genes) updates instead of an O(genes) re-walk. The
+// periodic full re-walks go through BatchPartialScorer's gene-major
+// sweep over the SoA table when the problem provides one. Every other
+// problem gets exactly one Score call per evaluation — the reference
+// path. Neither path changes the stochastic trajectory: the RNG draw
+// sequence is identical across scoring paths and worker counts, so
+// equal seeds reproduce runs.
 //
 // Run and RunContext are one-shot conveniences; callers re-searching
 // the same problem shape (the dvfsd serving path, the adaptive
@@ -47,10 +46,10 @@ type Problem interface {
 	// Score returns the fitness of an individual; higher is better.
 	// Must be safe for concurrent calls. A NaN score is treated as
 	// -Inf fitness (worst), so infeasible individuals may signal
-	// themselves with NaN without corrupting selection. Unless
-	// Config.NoScoreCache is set, Score must also be a pure function
-	// of the gene vector: repeated individuals are served from a
-	// memoized cache and never re-scored.
+	// themselves with NaN without corrupting selection. Problems
+	// without partial sums get exactly one Score call per evaluation,
+	// repeated individuals included, so Score may have side effects
+	// (the hardware-in-the-loop baseline spends real time in it).
 	Score(individual []int) float64
 	// Seeds returns individuals to include in the first generation
 	// (the paper seeds the baseline all-max-frequency individual and
@@ -71,9 +70,7 @@ type Problem interface {
 // only, and the engine re-walks every individual at a fixed
 // generation cadence to keep the drift bounded (well under 1e-9
 // relative; see the equivalence tests). All methods must be safe for
-// concurrent calls, like Score. Incremental scoring bypasses the
-// memoized score cache — duplicate detection would cost the O(genes)
-// key build the delta path exists to avoid.
+// concurrent calls, like Score.
 type PartialScorer interface {
 	Problem
 	// SumCount returns the length of the partial-sum vector.
@@ -85,20 +82,6 @@ type PartialScorer interface {
 	UpdateSums(sums []float64, gene, oldAllele, newAllele int)
 	// ScoreSums maps accumulated sums to the fitness.
 	ScoreSums(sums []float64) float64
-}
-
-// BatchScorer is an optional Problem extension for cohort scoring:
-// ScoreBatch evaluates count candidates stored back to back in genes
-// (candidate c occupies genes[c*Genes() : (c+1)*Genes()]) and writes
-// their fitnesses to scores[:count]. Each score must be bit-identical
-// to Score of the same vector — the engine mixes the two paths freely
-// (cache representatives go through ScoreBatch, and the equivalence
-// tests diff them). The evaltab-backed problems implement this with
-// gene-major sweeps over the SoA table, amortizing each table row
-// across the whole cohort.
-type BatchScorer interface {
-	Problem
-	ScoreBatch(genes []int, count int, scores []float64)
 }
 
 // BatchPartialScorer is the batch form of PartialScorer.InitSums:
@@ -145,8 +128,9 @@ type Config struct {
 	Elitism int
 	// Seed drives all stochastic choices; equal seeds reproduce runs.
 	Seed int64
-	// Workers bounds scoring/breeding concurrency; 0 means GOMAXPROCS.
-	// The worker count never changes results — only wall-clock.
+	// Workers bounds how many islands breed and score concurrently;
+	// 0 means GOMAXPROCS. The worker count never changes results —
+	// only wall-clock.
 	Workers int
 	// Selection picks the parent-selection scheme.
 	Selection Selection
@@ -156,24 +140,6 @@ type Config struct {
 	// barriers, so the search may overrun the limit by up to
 	// MigrationEvery-1 generations before stopping.
 	StaleLimit int
-	// NoScoreCache disables the gene-vector score memoization. The
-	// cache is correct whenever Score is a pure function of the gene
-	// vector (true for the model-based evaluator); disable it for
-	// problems whose Score has observable side effects — e.g. the
-	// hardware-in-the-loop search, where every evaluation must spend
-	// real hardware time to keep the budget accounting honest.
-	NoScoreCache bool
-	// ExactRescore disables incremental (delta) scoring for
-	// PartialScorer problems, forcing a full Score per individual —
-	// the escape hatch for validating the delta path and for problems
-	// whose sums drift faster than the engine's refresh cadence.
-	ExactRescore bool
-	// ScoreCacheCap bounds each island's memoized score cache: 0 means
-	// DefaultScoreCacheCap, a negative value means unbounded, and a
-	// positive value is the per-island entry cap. Long dvfsd-hosted
-	// searches on thousand-stage traces would otherwise grow the
-	// memoization maps without limit.
-	ScoreCacheCap int
 	// Islands is the number of islands the population is partitioned
 	// into. 0 derives a default from GOMAXPROCS and PopSize (see
 	// DefaultIslands) — deliberately never from Workers, so changing
@@ -200,14 +166,6 @@ type Config struct {
 	CapturePopulation bool
 }
 
-// DefaultScoreCacheCap is the per-island score-cache entry bound when
-// Config.ScoreCacheCap is zero. At the paper's production settings a
-// search evaluates 200 + 600·198 ≈ 120k individuals; 16k entries keep
-// the recent generations (where nearly all repeats come from, via
-// elites and converged populations) while capping worst-case cache
-// memory on thousand-gene problems at tens of megabytes.
-const DefaultScoreCacheCap = 1 << 14
-
 // DefaultConfig returns the paper's search settings.
 func DefaultConfig() Config {
 	return Config{
@@ -231,27 +189,14 @@ type Result struct {
 	// History records the best score across islands after each
 	// generation — the convergence series of Fig. 17.
 	History []float64
-	// Evaluations counts individuals evaluated (including cache hits),
-	// the paper's "strategies assessed" number, summed over islands in
-	// island order.
+	// Evaluations counts individuals evaluated, the paper's
+	// "strategies assessed" number, summed over islands in island
+	// order. For problems without partial sums it equals the number
+	// of Score calls.
 	Evaluations int
 	// Generations counts generations actually run (equal to
 	// Config.Generations unless StaleLimit stopped the search early).
 	Generations int
-	// CacheHits counts evaluations served from the memoized score
-	// caches, summed over islands in island order (a deterministic
-	// reduction: each island's count is exact regardless of worker
-	// scheduling). Evaluations-CacheHits is the number of actual Score
-	// calls. Always zero under incremental scoring, which bypasses the
-	// cache.
-	CacheHits int
-	// CacheCap is the per-island entry bound the score caches ran
-	// under; 0 when the cache was disabled (NoScoreCache), bypassed
-	// (incremental scoring) or unbounded (negative ScoreCacheCap).
-	CacheCap int
-	// CacheEvictions counts entries dropped by the generation-stamped
-	// eviction policy to hold CacheCap, summed in island order.
-	CacheEvictions int
 	// Islands is the island count the search ran with.
 	Islands int
 	// Migrations counts individuals transferred between islands.
@@ -333,6 +278,5 @@ func sanitize(score float64) float64 {
 // Compile-time relationships between the optional Problem extensions.
 var (
 	_ Problem       = PartialScorer(nil)
-	_ Problem       = BatchScorer(nil)
 	_ PartialScorer = BatchPartialScorer(nil)
 )

@@ -8,7 +8,8 @@ import (
 // intSumProblem is a PartialScorer whose partial sums are small
 // integers stored in float64. Every sum stays far below 2^53, so delta
 // updates are exact (no reassociation error): an incremental run and an
-// ExactRescore run must produce byte-identical trajectories, which is
+// exact rescore through scalar Score must produce byte-identical
+// trajectories, which is
 // the strongest possible check of the delta bookkeeping (resync marks,
 // tail-swap deltas, periodic re-walks, the spare-slot child).
 type intSumProblem struct {
@@ -55,16 +56,18 @@ func (p *intSumProblem) ScoreSums(sums []float64) float64 {
 	return sums[0] - sums[1]/1024
 }
 
+// scalarOnly hides a problem's partial-sum methods, so the engine
+// scores it through the reference path: one Score call per evaluation.
+type scalarOnly struct{ Problem }
+
 func runPair(t *testing.T, cfg Config) (inc, exact *Result) {
 	t.Helper()
 	p := newIntSumProblem(24, 8)
-	cfg.ExactRescore = false
 	ri, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ExactRescore = true
-	re, err := Run(p, cfg)
+	re, err := Run(scalarOnly{p}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +97,8 @@ func TestIncrementalMatchesExactRescoreBitwise(t *testing.T) {
 
 func TestIncrementalWorkerCountInvariance(t *testing.T) {
 	// Same seed must yield a byte-identical strategy regardless of the
-	// worker count — incremental scoring is serial by construction, and
-	// the exact-rescore batches are order-independent.
+	// worker count — incremental scoring is serial on each island by
+	// construction.
 	p := newIntSumProblem(24, 8)
 	cfg := DefaultConfig()
 	cfg.PopSize = 50
@@ -120,78 +123,5 @@ func TestIncrementalWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("workers=%d gen %d: history %v vs %v", workers, g, res.History[g], ref.History[g])
 			}
 		}
-	}
-}
-
-func TestIncrementalSkipsScoreCache(t *testing.T) {
-	p := newIntSumProblem(16, 6)
-	cfg := DefaultConfig()
-	cfg.PopSize = 40
-	cfg.Generations = 60
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHits != 0 || res.CacheCap != 0 || res.CacheEvictions != 0 {
-		t.Errorf("incremental run reported cache activity: hits=%d cap=%d evictions=%d, want all zero",
-			res.CacheHits, res.CacheCap, res.CacheEvictions)
-	}
-	if res.Generations != len(res.History)-1 {
-		t.Errorf("Generations = %d, want %d", res.Generations, len(res.History)-1)
-	}
-}
-
-func TestScoreCacheCapBoundsAndReports(t *testing.T) {
-	// A non-PartialScorer problem exercises the memo cache. A tiny cap
-	// must force evictions, report the cap, and leave the trajectory
-	// identical to an unbounded run — eviction only forgets scores, it
-	// never changes them.
-	p := &matchProblem{target: target(14, 5), alleles: 5}
-	cfg := smallConfig()
-
-	cfg.ScoreCacheCap = 32
-	capped, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ScoreCacheCap = -1
-	unbounded, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if capped.CacheCap != 32 {
-		t.Errorf("CacheCap = %d, want 32", capped.CacheCap)
-	}
-	if capped.CacheEvictions == 0 {
-		t.Error("tiny cache cap produced zero evictions")
-	}
-	if unbounded.CacheCap != 0 || unbounded.CacheEvictions != 0 {
-		t.Errorf("unbounded run reported cap=%d evictions=%d, want zero", unbounded.CacheCap, unbounded.CacheEvictions)
-	}
-	if capped.BestScore != unbounded.BestScore || fmt.Sprint(capped.Best) != fmt.Sprint(unbounded.Best) {
-		t.Errorf("capped cache changed the outcome: %v (%v) vs %v (%v)",
-			capped.Best, capped.BestScore, unbounded.Best, unbounded.BestScore)
-	}
-	for g := range capped.History {
-		if capped.History[g] != unbounded.History[g] {
-			t.Fatalf("gen %d: capped history %v vs unbounded %v", g, capped.History[g], unbounded.History[g])
-		}
-	}
-	if capped.CacheHits > unbounded.CacheHits {
-		t.Errorf("capped cache hit more than unbounded: %d vs %d", capped.CacheHits, unbounded.CacheHits)
-	}
-}
-
-func TestDefaultScoreCacheCapApplied(t *testing.T) {
-	p := &matchProblem{target: target(10, 4), alleles: 4}
-	cfg := smallConfig()
-	cfg.ScoreCacheCap = 0
-	res, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheCap != DefaultScoreCacheCap {
-		t.Errorf("CacheCap = %d, want DefaultScoreCacheCap (%d)", res.CacheCap, DefaultScoreCacheCap)
 	}
 }

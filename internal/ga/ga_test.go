@@ -371,69 +371,25 @@ func (c *countingProblem) Score(ind []int) float64 {
 	return c.matchProblem.Score(ind)
 }
 
-func TestScoreCacheSkipsRepeats(t *testing.T) {
-	mk := func() *countingProblem {
-		return &countingProblem{matchProblem: matchProblem{target: target(6, 2), alleles: 2}}
-	}
-	cfg := smallConfig()
-	cfg.Generations = 60
-
-	cached := mk()
-	withCache, err := Run(cached, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoScoreCache = true
-	uncached := mk()
-	noCache, err := Run(uncached, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The tiny 2^6 space forces massive repetition: the cache must
-	// absorb most evaluations without changing any outcome.
-	if withCache.CacheHits == 0 {
-		t.Error("no cache hits on a 64-point space over 60 generations")
-	}
-	if noCache.CacheHits != 0 {
-		t.Errorf("NoScoreCache run reported %d hits", noCache.CacheHits)
-	}
-	if got, want := cached.calls.Load(), int64(withCache.Evaluations-withCache.CacheHits); got != want {
-		t.Errorf("Score called %d times, want Evaluations-CacheHits = %d", got, want)
-	}
-	if got, want := uncached.calls.Load(), int64(noCache.Evaluations); got != want {
-		t.Errorf("uncached Score called %d times, want Evaluations = %d", got, want)
-	}
-	if withCache.BestScore != noCache.BestScore {
-		t.Errorf("cache changed the outcome: %g vs %g", withCache.BestScore, noCache.BestScore)
-	}
-	for i := range withCache.History {
-		if withCache.History[i] != noCache.History[i] {
-			t.Fatalf("cache changed history at generation %d", i)
+// TestScalarPathScoresEveryEvaluation pins the reference path's call
+// accounting: a problem without partial sums gets exactly one Score
+// call per evaluation, repeats included, at any worker count. The
+// hardware-in-the-loop baseline charges each call to its hardware-time
+// budget, so Result.Evaluations must be the number of calls made.
+func TestScalarPathScoresEveryEvaluation(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		// A 2^6-point space over 60 generations repeats individuals
+		// heavily; none may be skipped.
+		p := &countingProblem{matchProblem: matchProblem{target: target(6, 2), alleles: 2}}
+		cfg := smallConfig()
+		cfg.Generations = 60
+		cfg.Workers = workers
+		res, err := Run(p, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if withCache.Evaluations != noCache.Evaluations {
-		t.Errorf("Evaluations semantics changed with cache: %d vs %d",
-			withCache.Evaluations, noCache.Evaluations)
-	}
-}
-
-func TestScoreCacheParallelDeterminism(t *testing.T) {
-	p := &matchProblem{target: target(8, 2), alleles: 2}
-	cfg := smallConfig()
-	cfg.Generations = 40
-	cfg.Workers = 1
-	serial, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	parallel, err := Run(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.BestScore != parallel.BestScore || serial.CacheHits != parallel.CacheHits {
-		t.Errorf("worker count changed cached outcome: score %g/%g hits %d/%d",
-			serial.BestScore, parallel.BestScore, serial.CacheHits, parallel.CacheHits)
+		if got, want := p.calls.Load(), int64(res.Evaluations); got != want {
+			t.Errorf("workers=%d: Score called %d times, want Evaluations = %d", workers, got, want)
+		}
 	}
 }

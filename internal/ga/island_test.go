@@ -9,7 +9,7 @@ import (
 // sameResult asserts two results are byte-identical in every field the
 // determinism contract covers (DESIGN.md §13): not just the winning
 // individual but the whole observable outcome, including the
-// deterministically aggregated cache and migration counters.
+// deterministically aggregated evaluation and migration counters.
 func sameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if fmt.Sprint(a.Best) != fmt.Sprint(b.Best) || a.BestScore != b.BestScore {
@@ -26,10 +26,6 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	if a.Evaluations != b.Evaluations || a.Generations != b.Generations {
 		t.Fatalf("%s: evals/gens differ: %d/%d vs %d/%d", label, a.Evaluations, a.Generations, b.Evaluations, b.Generations)
 	}
-	if a.CacheHits != b.CacheHits || a.CacheEvictions != b.CacheEvictions {
-		t.Fatalf("%s: cache stats differ: hits %d/evict %d vs hits %d/evict %d",
-			label, a.CacheHits, a.CacheEvictions, b.CacheHits, b.CacheEvictions)
-	}
 	if a.Islands != b.Islands || a.Migrations != b.Migrations {
 		t.Fatalf("%s: islands/migrations differ: %d/%d vs %d/%d", label, a.Islands, a.Migrations, b.Islands, b.Migrations)
 	}
@@ -41,11 +37,11 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // TestIslandWorkerCountInvariance is the central determinism claim of
 // the island engine: at every island count, the full Result is
 // byte-identical whether the islands run on one worker or eight. Both
-// scoring paths are covered — the memo-cache cohort path (plain
-// Problem) and the incremental partial-sum path.
+// scoring paths are covered — the scalar Score path (plain Problem)
+// and the incremental partial-sum path.
 func TestIslandWorkerCountInvariance(t *testing.T) {
 	problems := map[string]Problem{
-		"cohort":      &matchProblem{target: target(16, 5), alleles: 5},
+		"scalar":      &matchProblem{target: target(16, 5), alleles: 5},
 		"incremental": newIntSumProblem(24, 8),
 	}
 	for name, p := range problems {
@@ -146,7 +142,7 @@ func TestRingMigrationTopology(t *testing.T) {
 		isl := &e.islands[i]
 		isl.reset(e)
 		isl.fillRandom(e)
-		isl.scoreInitial(e)
+		isl.score(e, isl.pop, true)
 		isl.rank()
 	}
 	m := e.migrants
@@ -180,11 +176,11 @@ func TestRingMigrationTopology(t *testing.T) {
 }
 
 // TestEngineReuseByteIdentical: repeat Run calls on one Engine must
-// reproduce the first run exactly — RNG streams re-seed, caches clear,
+// reproduce the first run exactly — RNG streams re-seed and
 // populations rebuild. This is the zero-alloc serving-path shape.
 func TestEngineReuseByteIdentical(t *testing.T) {
 	problems := map[string]Problem{
-		"cohort":      &matchProblem{target: target(14, 5), alleles: 5},
+		"scalar":      &matchProblem{target: target(14, 5), alleles: 5},
 		"incremental": newIntSumProblem(20, 7),
 	}
 	for name, p := range problems {

@@ -259,7 +259,6 @@ func TestSubmitCompletesAndCacheHitOnResubmit(t *testing.T) {
 		`dvfsd_jobs_total{state="cached"} 1`,
 		`dvfsd_stage_seconds_count{stage="search"} 2`,
 		`dvfsd_job_ga_evals_per_sec{workload="resnet50"}`,
-		`dvfsd_job_ga_score_cache_hit_rate{workload="resnet50"}`,
 		`dvfsd_job_ga_generations{workload="resnet50"}`,
 		// Island-model instrumentation: per-island throughput of the
 		// last search (island 0 always exists) plus the fan-out gauge

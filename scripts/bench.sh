@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the hot-path benchmarks and emit results/BENCH_10.json.
 #
-# Runs the perf-engineering benchmarks (Score, ScoreBatch,
+# Runs the perf-engineering benchmarks (Score, InitSumsBatch,
 # GAGeneration, GASearch, GASearchScaling, ExecutorRun — see
 # bench_test.go and DESIGN.md §10/§13) with -benchmem and converts
 # `go test` output into a JSON document of {ns_per_op, allocs_per_op,
@@ -47,7 +47,7 @@ echo "dvfslint: cold ${lint_cold_ms}ms, warm ${lint_warm_ms}ms"
 procs=$(nproc)
 
 raw=$(go test -run '^$' \
-    -bench 'BenchmarkScore$|BenchmarkScoreBatch$|BenchmarkGAGeneration$|BenchmarkGASearch$|BenchmarkGASearchScaling$|BenchmarkExecutorRun$' \
+    -bench 'BenchmarkScore$|BenchmarkInitSumsBatch$|BenchmarkGAGeneration$|BenchmarkGASearch$|BenchmarkGASearchScaling$|BenchmarkExecutorRun$' \
     -benchmem -benchtime "$benchtime" .)
 echo "$raw"
 
