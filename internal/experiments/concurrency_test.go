@@ -67,8 +67,10 @@ func (p *sharedExecProblem) Score(ind []int) float64 {
 }
 
 // TestGASharedExecutorStress drives GA scoring through one shared
-// Executor from many worker goroutines. Its real assertion is the
-// race detector: `go test -race` fails here if the Executor's view
+// Executor from many worker goroutines: Islands is set explicitly so
+// the four islands score concurrently on the eight workers (a plain
+// Problem is scored serially within an island). Its real assertion is
+// the race detector: `go test -race` fails here if the Executor's view
 // cache (or any other shared state on the Score path) races. It also
 // pins determinism: a Workers=1 run must find the identical result.
 func TestGASharedExecutorStress(t *testing.T) {
@@ -89,7 +91,7 @@ func TestGASharedExecutorStress(t *testing.T) {
 	}
 	cfg := ga.Config{
 		PopSize: 16, Generations: 6, MutationRate: 0.2,
-		CrossoverRate: 0.7, Elitism: 1, Seed: 77, Workers: 8,
+		CrossoverRate: 0.7, Elitism: 1, Seed: 77, Workers: 8, Islands: 4,
 	}
 	par, err := ga.Run(newProblem(), cfg)
 	if err != nil {
